@@ -50,7 +50,6 @@ per-tuple path — below it, the constant factors of building columns win.
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from itertools import compress
 
 from repro.errors import EvaluationError, TypingError
@@ -67,29 +66,13 @@ from repro.objects.columnar import (
     mask_or,
 )
 from repro.objects.values import Atom, SetValue
+from repro.objects.stats import FAMILY_REGISTRY
 from repro.types.type_system import TupleType
 
 
-class _VectorizedState:
-    """The process-wide vectorized-filter switch and engagement counters."""
-
-    __slots__ = ("enabled", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.stats = {
-            "conditions_compiled": 0,
-            "conditions_rejected": 0,
-            "batches": 0,
-            "rows_in": 0,
-            "rows_out": 0,
-            "membership_evaluations": 0,
-            "conjunctions_ordered": 0,
-            "conjunct_rows_skipped": 0,
-        }
-
-
-_VECTORIZED = _VectorizedState()
+#: The vectorized-filter switch (its row in
+#: :data:`repro.objects.stats.FAMILY_REGISTRY`).
+_VECTORIZED = FAMILY_REGISTRY["vectorized"]
 
 
 def vectorized_enabled() -> bool:
@@ -105,24 +88,17 @@ def set_vectorized_filters(enabled: bool) -> bool:
     hash-join residual check, the nested algebra and the flat relational
     layer; answers are identical in both modes.
     """
-    previous = _VECTORIZED.enabled
-    _VECTORIZED.enabled = bool(enabled)
-    return previous
+    return _VECTORIZED.set(enabled)
 
 
-@contextmanager
 def vectorized_filters(enabled: bool = True):
     """Context-manager form of :func:`set_vectorized_filters`."""
-    previous = set_vectorized_filters(enabled)
-    try:
-        yield
-    finally:
-        set_vectorized_filters(previous)
+    return _VECTORIZED.scoped(enabled)
 
 
 def vectorized_stats() -> dict[str, int]:
     """A snapshot of the engagement counters (tests assert deltas)."""
-    return dict(_VECTORIZED.stats)
+    return _VECTORIZED.snapshot()
 
 
 def vectorized_dispatch(row_count: int) -> bool:

@@ -100,28 +100,12 @@ from repro.objects.columnar import (
     union_ids,
 )
 from repro.objects.values import Atom, TupleValue
+from repro.objects.stats import FAMILY_REGISTRY
 from repro.types.type_system import TupleType
 
 
-class _CodegenState:
-    """The process-wide codegen switch and engagement counters."""
-
-    __slots__ = ("enabled", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.stats = {
-            "fragments_compiled": 0,
-            "fragments_fused": 0,
-            "cache_hits": 0,
-            "rows_emitted": 0,
-            "fallbacks": 0,
-            "predicates_compiled": 0,
-            "predicate_cache_hits": 0,
-        }
-
-
-_CODEGEN = _CodegenState()
+#: The codegen switch (its row in :data:`repro.objects.stats.FAMILY_REGISTRY`).
+_CODEGEN = FAMILY_REGISTRY["codegen"]
 
 
 def codegen_enabled() -> bool:
@@ -135,24 +119,17 @@ def set_codegen(enabled: bool) -> bool:
     Disabling restores the interpreting generator executor everywhere (the
     differential oracle); answers are identical in both modes.
     """
-    previous = _CODEGEN.enabled
-    _CODEGEN.enabled = bool(enabled)
-    return previous
+    return _CODEGEN.set(enabled)
 
 
-@contextmanager
 def codegen(enabled: bool = True):
     """Context-manager form of :func:`set_codegen`."""
-    previous = set_codegen(enabled)
-    try:
-        yield
-    finally:
-        set_codegen(previous)
+    return _CODEGEN.scoped(enabled)
 
 
 def codegen_stats() -> dict[str, int]:
     """A snapshot of the engagement counters (tests assert deltas)."""
-    return dict(_CODEGEN.stats)
+    return _CODEGEN.snapshot()
 
 
 class _Unsupported(Exception):

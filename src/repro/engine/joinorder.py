@@ -36,8 +36,6 @@ Ablation: :func:`set_join_ordering`/:func:`join_ordering`, counters in
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro.algebra.expressions import SelectionCondition, flatten_for_product
 from repro.algebra.optimizer import conjoin, conjuncts, shift_condition
 from repro.engine.cost import (
@@ -56,6 +54,7 @@ from repro.engine.plan import (
     Project,
 )
 from repro.engine.stats import PlanStatistics
+from repro.objects.stats import FAMILY_REGISTRY
 from repro.types.type_system import TupleType
 
 #: At most this many relations are ordered by exact DP; larger subgraphs
@@ -69,29 +68,9 @@ MIN_MULTIWAY_BUILDS = 2
 _INTERIOR = (HashJoin, NestedLoopProduct)
 
 
-class _JoinOrderState:
-    """The process-wide join-ordering switch and engagement counters."""
-
-    __slots__ = ("enabled", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.stats = {
-            "plans_considered": 0,
-            "subgraphs_considered": 0,
-            "subgraphs_reordered": 0,
-            "orders_unchanged": 0,
-            "skipped_no_stats": 0,
-            "dp_searches": 0,
-            "greedy_searches": 0,
-            "multiway_joins": 0,
-            "relations_profiled": 0,
-            "overlap_probes": 0,
-            "stale_plan_recompiles": 0,
-        }
-
-
-_JOINORDER = _JoinOrderState()
+#: The join-ordering switch (its row in
+#: :data:`repro.objects.stats.FAMILY_REGISTRY`).
+_JOINORDER = FAMILY_REGISTRY["joinorder"]
 
 
 def joinorder_enabled() -> bool:
@@ -107,19 +86,12 @@ def set_join_ordering(enabled: bool) -> bool:
     answers are identical in both modes — the switch trades planning
     effort for execution speed, never semantics.
     """
-    previous = _JOINORDER.enabled
-    _JOINORDER.enabled = bool(enabled)
-    return previous
+    return _JOINORDER.set(enabled)
 
 
-@contextmanager
 def join_ordering(enabled: bool = True):
     """Context-manager form of :func:`set_join_ordering`."""
-    previous = set_join_ordering(enabled)
-    try:
-        yield
-    finally:
-        set_join_ordering(previous)
+    return _JOINORDER.scoped(enabled)
 
 
 def joinorder_stats() -> dict[str, int]:
@@ -134,7 +106,7 @@ def joinorder_stats() -> dict[str, int]:
     (:mod:`repro.engine.stats`); ``stale_plan_recompiles`` — cached plans
     recompiled because their statistics fingerprint drifted.
     """
-    return dict(_JOINORDER.stats)
+    return _JOINORDER.snapshot()
 
 
 # ---------------------------------------------------------------------------

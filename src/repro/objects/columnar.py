@@ -59,35 +59,20 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from operator import eq
 
+from repro.objects.stats import FAMILY_REGISTRY
+
 #: Array typecode for id columns (unsigned, 4 bytes on every supported
 #: platform; constructing more than 2**32 distinct values would raise
 #: ``OverflowError`` rather than silently truncate).
 ID_TYPECODE = "I"
 
 
-class _ColumnarState:
-    """The process-wide columnar switch, threshold and kernel counters."""
+#: The columnar switch (its row in :data:`repro.objects.stats.FAMILY_REGISTRY`).
+_COLUMNAR = FAMILY_REGISTRY["columnar"]
+_count = _COLUMNAR.count
 
-    __slots__ = ("enabled", "threshold", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.threshold = 32
-        self.stats = {
-            "kernel_union": 0,
-            "kernel_intersection": 0,
-            "kernel_difference": 0,
-            "kernel_membership": 0,
-            "kernel_mask_eq": 0,
-            "kernel_mask_combine": 0,
-            "kernel_subtract": 0,
-            "kernel_apply_delta": 0,
-            "engine_set_ops": 0,
-            "columns_built": 0,
-        }
-
-
-_COLUMNAR = _ColumnarState()
+#: Minimum combined element count before consumers build/use columns.
+_threshold = 32
 
 
 def columnar_enabled() -> bool:
@@ -104,31 +89,25 @@ def set_columnar(enabled: bool) -> bool:
     and become plain dead weight until re-enabled; answers are identical
     in both modes.
     """
-    previous = _COLUMNAR.enabled
-    _COLUMNAR.enabled = bool(enabled)
-    return previous
+    return _COLUMNAR.set(enabled)
 
 
-@contextmanager
 def columnar_storage(enabled: bool = True):
     """Context-manager form of :func:`set_columnar`."""
-    previous = set_columnar(enabled)
-    try:
-        yield
-    finally:
-        set_columnar(previous)
+    return _COLUMNAR.scoped(enabled)
 
 
 def columnar_threshold() -> int:
     """Minimum combined element count before consumers build/use columns."""
-    return _COLUMNAR.threshold
+    return _threshold
 
 
 def set_columnar_threshold(threshold: int) -> int:
     """Set the dispatch threshold; returns the previous one (tests use 1
     so kernels engage on tiny random workloads)."""
-    previous = _COLUMNAR.threshold
-    _COLUMNAR.threshold = int(threshold)
+    global _threshold
+    previous = _threshold
+    _threshold = int(threshold)
     return previous
 
 
@@ -151,16 +130,12 @@ def columnar_settings(enabled: bool | None = None, threshold: int | None = None)
 def columnar_dispatch(total_size: int) -> bool:
     """The one dispatch policy every consumer applies: columnar storage is
     enabled and the combined operand size clears the threshold."""
-    return _COLUMNAR.enabled and total_size >= _COLUMNAR.threshold
+    return _COLUMNAR.enabled and total_size >= _threshold
 
 
 def columnar_stats() -> dict[str, int]:
     """A snapshot of the kernel/dispatch counters (tests assert deltas)."""
-    return dict(_COLUMNAR.stats)
-
-
-def _count(counter: str, amount: int = 1) -> None:
-    _COLUMNAR.stats[counter] += amount
+    return _COLUMNAR.snapshot()
 
 
 # -- dictionary encoding ---------------------------------------------------------

@@ -1,22 +1,27 @@
-"""One call for every engagement counter the ablation switches expose.
+"""The ablation switch table, and one call for every engagement counter.
 
-The process-wide switch families each accumulate work counters in their
-own module; tests and benchmarks that assert "the fast path actually
-engaged" used to snapshot each family separately.  :func:`runtime_stats`
-aggregates them behind one call and :func:`reset_runtime_stats` zeroes
-them all, so a sweep diffs one nested dict.
+Every performance mechanism is a process-wide **switch family**: a flag
+that restores the historical behaviour when off, plus work counters that
+prove the mechanism engaged.  :data:`FAMILY_REGISTRY` below declares all
+eight families — name, owning module, public setter and context-manager
+names, default, environment variable, counter names and what turning the
+switch off restores — and is the **only** place a family is enumerated.
+Each row is one :class:`Switch`; the family modules bind their row once
+(``_CODEGEN = FAMILY_REGISTRY["codegen"]``) and their public names
+(``set_codegen``/``codegen(...)``/``codegen_enabled()``/
+``codegen_stats()``, and so on) delegate to it.  :func:`runtime_stats`,
+:func:`reset_runtime_stats` and the ``METRICS`` exposition in
+:mod:`repro.observability.metrics` iterate the same table, so a new
+family is one row here.
 
-Both functions — and the ``METRICS`` exposition in
-:mod:`repro.observability.metrics` — are derived from the single
-:data:`FAMILY_REGISTRY` table below.  That table is the **only** place a
-family is enumerated: adding a switch family means adding one row here,
-and it immediately shows up in ``runtime_stats()``, survives
-``reset_runtime_stats()``, and is exported by the serving ``METRICS``
-verb.  (The previous hand-enumerated imports silently dropped a family
-whenever one list was updated without the other.)
+**Environment.**  A row's environment variable, when set to a non-empty
+value at import, starts its switch in the non-default state
+(``REPRO_DISABLE_CODEGEN=1`` starts codegen off, ``REPRO_TRACE=1`` starts
+tracing on), so a served process can be ablated from its environment.
 
 See the "Ablation switches" table in ``docs/ablation.md`` for the
-switch-by-switch comparison of what each family measures.
+switch-by-switch comparison; ``tools/check_docs.py`` checks it against
+this table.
 
 **Concurrency note.**  The counters are plain ints bumped with ``+=``
 without locks — deliberately.  Under CPython's GIL a lost increment
@@ -33,28 +38,146 @@ caches whose races are benign (documented at their definitions).
 
 from __future__ import annotations
 
-from importlib import import_module
+import os
+from contextlib import contextmanager
 
-#: The switch families: ``family name -> (module, stats function, state
-#: attribute)``.  The stats function returns the family's counter
-#: snapshot; the state attribute names the module-level ``_XState``
-#: singleton whose ``stats`` dict the reset zeroes in place.  Modules
-#: resolve lazily — most families live *above* :mod:`repro.objects` in
-#: the layer stack, so eager imports here would be circular.
-FAMILY_REGISTRY: dict[str, tuple[str, str, str]] = {
-    "interning": ("repro.objects.values", "intern_stats", "_INTERN"),
-    "columnar": ("repro.objects.columnar", "columnar_stats", "_COLUMNAR"),
-    "vectorized": ("repro.algebra.vectorized", "vectorized_stats", "_VECTORIZED"),
-    "codegen": ("repro.engine.codegen", "codegen_stats", "_CODEGEN"),
-    "joinorder": ("repro.engine.joinorder", "joinorder_stats", "_JOINORDER"),
-    "views": ("repro.views.maintain", "views_stats", "_VIEWS"),
-    "reliability": ("repro.reliability.faults", "reliability_stats", "_RELIABILITY"),
-    "observability": (
-        "repro.observability.trace",
-        "observability_stats",
-        "_OBSERVABILITY",
+
+class Switch:
+    """One switch family: its flag, its counters and its declaration.
+
+    Hot paths read :attr:`enabled` and bump :attr:`stats` entries
+    directly, so a guard costs one attribute read.
+    """
+
+    __slots__ = (
+        "family", "module", "setter", "context", "default", "env", "restores",
+        "enabled", "stats",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        module: str,
+        setter: str,
+        context: str,
+        *,
+        default: bool = True,
+        env: str | None = None,
+        counters: str,
+        restores: str,
+    ) -> None:
+        self.family = family
+        self.module = module
+        self.setter = setter
+        self.context = context
+        self.default = default
+        self.env = env
+        self.restores = restores
+        flipped = bool(env and os.environ.get(env))
+        self.enabled = not default if flipped else default
+        self.stats = dict.fromkeys(counters.split(), 0)
+
+    def set(self, enabled: bool) -> bool:
+        """Set the switch; returns the previous setting."""
+        previous = self.enabled
+        self.enabled = bool(enabled)
+        return previous
+
+    @contextmanager
+    def scoped(self, enabled: bool = True):
+        """Re-entrant scoped flip: the previous setting returns on exit."""
+        previous = self.set(enabled)
+        try:
+            yield
+        finally:
+            self.set(previous)
+
+    def count(self, counter: str, amount: int = 1) -> None:
+        self.stats[counter] += amount
+
+    def snapshot(self) -> dict[str, int]:
+        return dict(self.stats)
+
+    def reset(self) -> None:
+        for counter in self.stats:
+            self.stats[counter] = 0
+
+
+_ROWS = (
+    Switch(
+        "interning", "repro.objects.values", "set_interning", "interning",
+        counters="set_hits set_misses set_frozenset_allocations",
+        restores="allocate-and-recompute values: no canonical instances, "
+        "no cached hashes/sort keys",
     ),
-}
+    Switch(
+        "columnar", "repro.objects.columnar", "set_columnar", "columnar_storage",
+        counters="kernel_union kernel_intersection kernel_difference "
+        "kernel_membership kernel_mask_eq kernel_mask_combine kernel_subtract "
+        "kernel_apply_delta engine_set_ops columns_built",
+        restores="frozenset bulk set ops, per-value join keys, tree-shaped io",
+    ),
+    Switch(
+        "vectorized", "repro.algebra.vectorized", "set_vectorized_filters",
+        "vectorized_filters",
+        counters="conditions_compiled conditions_rejected batches rows_in "
+        "rows_out membership_evaluations conjunctions_ordered "
+        "conjunct_rows_skipped",
+        restores="per-tuple condition_holds scans everywhere",
+    ),
+    Switch(
+        "codegen", "repro.engine.codegen", "set_codegen", "codegen",
+        env="REPRO_DISABLE_CODEGEN",
+        counters="fragments_compiled fragments_fused cache_hits rows_emitted "
+        "fallbacks predicates_compiled predicate_cache_hits",
+        restores="the interpreting executor: one generator per operator",
+    ),
+    Switch(
+        "joinorder", "repro.engine.joinorder", "set_join_ordering", "join_ordering",
+        env="REPRO_DISABLE_JOIN_ORDERING",
+        counters="plans_considered subgraphs_considered subgraphs_reordered "
+        "orders_unchanged skipped_no_stats dp_searches greedy_searches "
+        "multiway_joins relations_profiled overlap_probes stale_plan_recompiles",
+        restores="the syntactic join order: binary hash joins, no "
+        "MultiwayHashJoin, no plan-staleness recompiles",
+    ),
+    # The switch is MVCC; the counters are view maintenance's plus the
+    # epoch lifecycle (materialized views themselves are opt-in per
+    # database, not a switch).
+    Switch(
+        "views", "repro.views.database", "set_mvcc", "mvcc",
+        env="REPRO_DISABLE_MVCC",
+        counters="delta_batches delta_node_applications "
+        "recompute_node_applications full_recomputes rows_delta_in "
+        "rows_delta_out datalog_resumes datalog_recomputes views_quarantined "
+        "degraded_reads view_repairs epoch_pins epoch_releases epochs_frozen "
+        "epochs_collected epoch_reads_frozen mvcc_bypassed_reads",
+        restores="the bare single-writer facade: pins advisory, every read "
+        "sees the latest state",
+    ),
+    Switch(
+        "reliability", "repro.reliability.faults", "set_wal", "durability",
+        counters="faults_injected crashes_simulated wal_records_written "
+        "wal_bytes_written wal_fsyncs wal_records_replayed "
+        "wal_torn_tails_truncated wal_appends_skipped checkpoints_written "
+        "corrupt_checkpoints_skipped recoveries batches_aborted "
+        "maintainer_rollbacks",
+        restores="checkpoint-only durability: commits skip the WAL append",
+    ),
+    Switch(
+        "observability", "repro.observability.trace", "set_tracing", "tracing",
+        default=False,
+        env="REPRO_TRACE",
+        counters="spans_started spans_finished spans_dropped traces_recorded "
+        "traces_evicted traces_exported queries_logged slow_queries_logged "
+        "query_log_evictions metrics_expositions",
+        restores="off is the historical behaviour; on adds spans, histograms "
+        "and query-log records",
+    ),
+)
+
+#: The switch families, keyed by ``runtime_stats()`` family name.
+FAMILY_REGISTRY: dict[str, Switch] = {row.family: row for row in _ROWS}
 
 
 def runtime_stats() -> dict[str, dict[str, int]]:
@@ -64,15 +187,10 @@ def runtime_stats() -> dict[str, dict[str, int]]:
     ``"columnar"``, ``"vectorized"``, ``"codegen"``, ``"joinorder"``,
     ``"views"``, ``"reliability"`` and ``"observability"``.
     """
-    return {
-        family: getattr(import_module(module), stats_function)()
-        for family, (module, stats_function, _state) in FAMILY_REGISTRY.items()
-    }
+    return {family: switch.snapshot() for family, switch in FAMILY_REGISTRY.items()}
 
 
 def reset_runtime_stats() -> None:
     """Zero every counter of every family (the keys themselves stay)."""
-    for module, _stats_function, state in FAMILY_REGISTRY.values():
-        counters = getattr(import_module(module), state).stats
-        for counter in counters:
-            counters[counter] = 0
+    for switch in FAMILY_REGISTRY.values():
+        switch.reset()

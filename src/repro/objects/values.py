@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from functools import total_ordering
 from operator import methodcaller
 
@@ -63,47 +62,35 @@ from repro.objects.columnar import (
     intersect_ids,
     union_ids,
 )
+from repro.objects.stats import FAMILY_REGISTRY
 
 #: Sort-key extractor for ``sorted(values, key=structural_sort_key)``.
 structural_sort_key = methodcaller("sort_key")
 
 
-class _InterningState:
-    """The process-wide intern tables and the ablation switch.
+#: The interning switch (its row in :data:`repro.objects.stats.FAMILY_REGISTRY`).
+#: ``stats`` counts set-table traffic — in particular
+#: ``set_frozenset_allocations``, which regression tests pin so the
+#: ``SetValue.__new__`` hit path never silently re-normalises an input that
+#: is already a frozenset.
+_INTERN = FAMILY_REGISTRY["interning"]
 
-    ``columnar_sets`` interns column-backed sets by their id-array bytes
-    (ids are equality-canonical, so the byte string is a perfect structural
-    key).  ``stats`` counts set-table traffic — in particular
-    ``set_frozenset_allocations``, which regression tests pin so the
-    ``SetValue.__new__`` hit path never silently re-normalises an input
-    that is already a frozenset.
-
-    Deliberately lock-free under threads: interning is a *cache*, not an
-    identity requirement — equality and hashing are structural, so if two
-    threads race the get-then-set and two canonical objects for the same
-    value briefly coexist, every downstream structure (sets, dicts, the
-    columnar dictionaries) still treats them as the same value.  The
-    tables are weak, so the loser is simply collected.  Nothing in the
-    codebase may compare complex values with ``is``; that is the enforced
-    single invariant this relies on.
-    """
-
-    __slots__ = ("enabled", "atoms", "tuples", "sets", "columnar_sets", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.atoms: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        self.tuples: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        self.sets: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        self.columnar_sets: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        self.stats = {
-            "set_hits": 0,
-            "set_misses": 0,
-            "set_frozenset_allocations": 0,
-        }
-
-
-_INTERN = _InterningState()
+# The process-wide intern tables.  ``_COLUMNAR_SETS`` interns column-backed
+# sets by their id-array bytes (ids are equality-canonical, so the byte
+# string is a perfect structural key).
+#
+# Deliberately lock-free under threads: interning is a *cache*, not an
+# identity requirement — equality and hashing are structural, so if two
+# threads race the get-then-set and two canonical objects for the same
+# value briefly coexist, every downstream structure (sets, dicts, the
+# columnar dictionaries) still treats them as the same value.  The tables
+# are weak, so the loser is simply collected.  Nothing in the codebase may
+# compare complex values with ``is``; that is the enforced single
+# invariant this relies on.
+_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TUPLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_COLUMNAR_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def interning_enabled() -> bool:
@@ -121,44 +108,37 @@ def set_interning(enabled: bool) -> bool:
     was on keep their cache slots, but ignore them until interning is
     re-enabled; cached and recomputed results are always equal).
     """
-    previous = _INTERN.enabled
-    _INTERN.enabled = bool(enabled)
-    return previous
+    return _INTERN.set(enabled)
 
 
-@contextmanager
 def interning(enabled: bool = True):
     """Context manager form of :func:`set_interning`."""
-    previous = set_interning(enabled)
-    try:
-        yield
-    finally:
-        set_interning(previous)
+    return _INTERN.scoped(enabled)
 
 
 def clear_intern_tables() -> None:
     """Drop all intern-table entries (live values stay valid, new
     constructions re-populate the tables).  Used by benchmarks to isolate
     measurements."""
-    _INTERN.atoms.clear()
-    _INTERN.tuples.clear()
-    _INTERN.sets.clear()
-    _INTERN.columnar_sets.clear()
+    _ATOMS.clear()
+    _TUPLES.clear()
+    _SETS.clear()
+    _COLUMNAR_SETS.clear()
 
 
 def intern_table_sizes() -> dict[str, int]:
     """Current number of canonical instances per table (for tests/stats)."""
     return {
-        "atoms": len(_INTERN.atoms),
-        "tuples": len(_INTERN.tuples),
-        "sets": len(_INTERN.sets),
-        "columnar_sets": len(_INTERN.columnar_sets),
+        "atoms": len(_ATOMS),
+        "tuples": len(_TUPLES),
+        "sets": len(_SETS),
+        "columnar_sets": len(_COLUMNAR_SETS),
     }
 
 
 def intern_stats() -> dict[str, int]:
     """A snapshot of the set-interning traffic counters (tests diff them)."""
-    return dict(_INTERN.stats)
+    return _INTERN.snapshot()
 
 
 def _validate_tuple_components(normalised: tuple) -> None:
@@ -258,12 +238,12 @@ class Atom(ComplexValue):
                 key = (cls, payload_class, value)
             else:
                 key = (cls, payload_class, value, repr(value))
-            cached = _INTERN.atoms.get(key)
+            cached = _ATOMS.get(key)
             if cached is not None:
                 return cached
             self = object.__new__(cls)
             object.__setattr__(self, "value", value)
-            _INTERN.atoms[key] = self
+            _ATOMS[key] = self
             return self
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
@@ -333,13 +313,13 @@ class TupleValue(ComplexValue):
             # validated tuples are ever stored, and a live non-ComplexValue
             # can never share an id with an entry's live components.
             key = (cls, tuple(map(id, normalised)))
-            cached = _INTERN.tuples.get(key)
+            cached = _TUPLES.get(key)
             if cached is not None:
                 return cached
             _validate_tuple_components(normalised)
             self = object.__new__(cls)
             object.__setattr__(self, "components", normalised)
-            _INTERN.tuples[key] = self
+            _TUPLES[key] = self
             return self
         _validate_tuple_components(normalised)
         self = object.__new__(cls)
@@ -448,7 +428,7 @@ class SetValue(ComplexValue):
                 normalised = frozenset(elements)
                 stats["set_frozenset_allocations"] += 1
             key = (cls, frozenset(map(id, normalised)))
-            cached = _INTERN.sets.get(key)
+            cached = _SETS.get(key)
             if cached is not None:
                 stats["set_hits"] += 1
                 return cached
@@ -456,7 +436,7 @@ class SetValue(ComplexValue):
             _validate_set_elements(normalised)
             self = object.__new__(cls)
             object.__setattr__(self, "_elements", normalised)
-            _INTERN.sets[key] = self
+            _SETS[key] = self
             return self
         normalised = frozenset(elements)
         _validate_set_elements(normalised)
@@ -479,12 +459,12 @@ class SetValue(ComplexValue):
         """
         if _INTERN.enabled:
             key = ids.tobytes()
-            cached = _INTERN.columnar_sets.get(key)
+            cached = _COLUMNAR_SETS.get(key)
             if cached is not None:
                 return cached
             self = object.__new__(cls)
             object.__setattr__(self, "_ids", ids)
-            _INTERN.columnar_sets[key] = self
+            _COLUMNAR_SETS[key] = self
             return self
         self = object.__new__(cls)
         object.__setattr__(self, "_ids", ids)

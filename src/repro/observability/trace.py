@@ -38,12 +38,13 @@ for a context manager it does not use.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import count
+
+from repro.objects.stats import FAMILY_REGISTRY
 
 #: Spans retained per trace; a runaway plan (thousands of nodes) must not
 #: hold the ring hostage.  Overflowing spans are timed but not recorded
@@ -54,29 +55,9 @@ MAX_SPANS_PER_TRACE = 512
 TRACE_RING_ENTRIES = 128
 
 
-class _ObservabilityState:
-    """The process-wide tracing switch and engagement counters (the same
-    shape as ``_CODEGEN``, ``_MVCC`` and the other ablation toggles)."""
-
-    __slots__ = ("enabled", "stats")
-
-    def __init__(self) -> None:
-        self.enabled = bool(os.environ.get("REPRO_TRACE"))
-        self.stats = {
-            "spans_started": 0,
-            "spans_finished": 0,
-            "spans_dropped": 0,
-            "traces_recorded": 0,
-            "traces_evicted": 0,
-            "traces_exported": 0,
-            "queries_logged": 0,
-            "slow_queries_logged": 0,
-            "query_log_evictions": 0,
-            "metrics_expositions": 0,
-        }
-
-
-_OBSERVABILITY = _ObservabilityState()
+#: The tracing switch (its row in :data:`repro.objects.stats.FAMILY_REGISTRY`,
+#: which also reads ``REPRO_TRACE``).
+_OBSERVABILITY = FAMILY_REGISTRY["observability"]
 
 
 def tracing_enabled() -> bool:
@@ -93,25 +74,17 @@ def set_tracing(enabled: bool) -> bool:
     ``REPRO_TRACE=1`` CI cell pins is that turning it *on* changes no
     answer anywhere.
     """
-    previous = _OBSERVABILITY.enabled
-    _OBSERVABILITY.enabled = bool(enabled)
-    return previous
+    return _OBSERVABILITY.set(enabled)
 
 
-@contextmanager
 def tracing(enabled: bool = True):
-    """Context-manager form of :func:`set_tracing` (mirrors ``codegen(...)``,
-    ``mvcc(...)``, ``durability(...)``)."""
-    previous = set_tracing(enabled)
-    try:
-        yield
-    finally:
-        set_tracing(previous)
+    """Context-manager form of :func:`set_tracing`."""
+    return _OBSERVABILITY.scoped(enabled)
 
 
 def observability_stats() -> dict[str, int]:
     """A snapshot of the engagement counters (tests assert deltas)."""
-    return dict(_OBSERVABILITY.stats)
+    return _OBSERVABILITY.snapshot()
 
 
 # -- spans and traces ---------------------------------------------------------

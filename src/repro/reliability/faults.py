@@ -25,11 +25,11 @@ Three fault kinds model the failure modes that matter:
   snapshot corruption handling are exercised without reaching under the
   filesystem.
 
-The module also owns the reliability counter family
-(:func:`reliability_stats`, the sixth family aggregated by
-:func:`repro.objects.stats.runtime_stats`) and the ``set_wal`` /
-``durability(...)`` ablation switch that lets benchmarks measure the
-serving core with write-ahead logging disabled.
+The module also exposes the reliability counter family
+(:func:`reliability_stats`) and the ``set_wal`` / ``durability(...)``
+ablation switch that lets benchmarks measure the serving core with
+write-ahead logging disabled — both declared by the ``"reliability"``
+row of :data:`repro.objects.stats.FAMILY_REGISTRY`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import random
 from contextlib import contextmanager
 
 from repro.errors import ReliabilityError
+from repro.objects.stats import FAMILY_REGISTRY
 
 
 class InjectedFault(IOError):
@@ -159,41 +160,18 @@ class FaultPlan:
         raise SimulatedCrash(f"simulated crash at {site!r} (hit {spec.at})")
 
 
-class _ReliabilityState:
-    """Process-wide durability switch and counters (the sixth family)."""
+#: The WAL switch and the reliability counters (the ``"reliability"`` row
+#: of :data:`repro.objects.stats.FAMILY_REGISTRY`).
+_RELIABILITY = FAMILY_REGISTRY["reliability"]
+_count = _RELIABILITY.count
 
-    __slots__ = ("plan", "wal_enabled", "stats")
-
-    def __init__(self) -> None:
-        self.plan: FaultPlan | None = None
-        self.wal_enabled = True
-        self.stats = {
-            "faults_injected": 0,
-            "crashes_simulated": 0,
-            "wal_records_written": 0,
-            "wal_bytes_written": 0,
-            "wal_fsyncs": 0,
-            "wal_records_replayed": 0,
-            "wal_torn_tails_truncated": 0,
-            "wal_appends_skipped": 0,
-            "checkpoints_written": 0,
-            "corrupt_checkpoints_skipped": 0,
-            "recoveries": 0,
-            "batches_aborted": 0,
-            "maintainer_rollbacks": 0,
-        }
-
-
-_RELIABILITY = _ReliabilityState()
+#: The armed fault plan (``None`` when disarmed).
+_plan: FaultPlan | None = None
 
 
 def reliability_stats() -> dict[str, int]:
     """A snapshot of the reliability counters (tests assert deltas)."""
-    return dict(_RELIABILITY.stats)
-
-
-def _count(counter: str, amount: int = 1) -> None:
-    _RELIABILITY.stats[counter] += amount
+    return _RELIABILITY.snapshot()
 
 
 # -- plan activation ---------------------------------------------------------------
@@ -201,13 +179,14 @@ def _count(counter: str, amount: int = 1) -> None:
 def set_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
     """Arm *plan* process-wide (or disarm with ``None``); returns the
     previous plan."""
-    previous = _RELIABILITY.plan
-    _RELIABILITY.plan = plan
+    global _plan
+    previous = _plan
+    _plan = plan
     return previous
 
 
 def active_fault_plan() -> FaultPlan | None:
-    return _RELIABILITY.plan
+    return _plan
 
 
 @contextmanager
@@ -226,7 +205,7 @@ def fault_point(site: str) -> None:
     ``"torn"`` specs at non-write sites degrade to a plain crash — there
     are no bytes to tear.
     """
-    plan = _RELIABILITY.plan
+    plan = _plan
     if plan is None:
         return
     spec = plan.trigger(site)
@@ -238,7 +217,7 @@ def fault_point(site: str) -> None:
 
 def wal_enabled() -> bool:
     """Whether databases with durability configured append to their WAL."""
-    return _RELIABILITY.wal_enabled
+    return _RELIABILITY.enabled
 
 
 def set_wal(enabled: bool) -> bool:
@@ -250,18 +229,9 @@ def set_wal(enabled: bool) -> bool:
     ``benchmarks/bench_wal.py`` measures against.  Recovery of a database
     that ran with the switch off only sees its checkpoints.
     """
-    previous = _RELIABILITY.wal_enabled
-    _RELIABILITY.wal_enabled = bool(enabled)
-    return previous
+    return _RELIABILITY.set(enabled)
 
 
-@contextmanager
 def durability(enabled: bool = True):
-    """Context-manager form of :func:`set_wal` (mirrors the other
-    ablation switches: ``interning(...)``, ``columnar_storage(...)``,
-    ``vectorized_filters(...)``, ``codegen(...)``)."""
-    previous = set_wal(enabled)
-    try:
-        yield
-    finally:
-        set_wal(previous)
+    """Context-manager form of :func:`set_wal`."""
+    return _RELIABILITY.scoped(enabled)

@@ -230,10 +230,21 @@ class DatabaseServer:
         handle = None
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    line = error.partial  # EOF: an unterminated last line, or b""
+                except asyncio.LimitOverrunError as error:
+                    line = None
+                    await _skip_line(reader, error.consumed)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise ServingError(
+                            "request line exceeds the 64 KiB stream limit",
+                            code="too_large",
+                        )
                     response, handle, closing = await self._dispatch(
                         line.decode("utf-8", errors="replace"), handle
                     )
@@ -433,6 +444,23 @@ class DatabaseServer:
         if handle is not None:
             return handle.query(expression)
         return evaluate_expression(expression, self.database.snapshot())
+
+
+async def _skip_line(reader, overrun: int) -> None:
+    """Discard an over-long request line through its newline (or EOF).
+
+    *overrun* is the :class:`asyncio.LimitOverrunError` ``consumed`` count:
+    buffered bytes that hold no newline, or the offset of the newline the
+    line ends at."""
+    while True:
+        await reader.readexactly(overrun)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as error:
+            overrun = error.consumed
 
 
 class _ServeContext:

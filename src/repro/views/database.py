@@ -49,13 +49,13 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Mapping
-from contextlib import contextmanager
 
 from repro.errors import EpochError, SchemaError
 from repro.observability.metrics import METRICS
 from repro.observability.trace import maybe_span, span, tracing_enabled
 from repro.objects.domain import belongs_to
 from repro.objects.instance import DatabaseInstance, Instance
+from repro.objects.stats import FAMILY_REGISTRY
 from repro.objects.values import ComplexValue, value_from_python
 from repro.relational.relation import Relation
 from repro.reliability.faults import (
@@ -75,16 +75,10 @@ SITE_STORE_PUBLISH = register_fault_site(
 
 # -- the MVCC ablation switch -------------------------------------------------------
 
-class _MvccState:
-    """The process-wide MVCC switch (mirrors the other ablation toggles)."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-_MVCC = _MvccState()
+#: The MVCC switch — the ``"views"`` row of
+#: :data:`repro.objects.stats.FAMILY_REGISTRY`, shared with the view
+#: maintenance counters.
+_MVCC = FAMILY_REGISTRY["views"]
 
 
 def mvcc_enabled() -> bool:
@@ -102,21 +96,12 @@ def set_mvcc(enabled: bool) -> bool:
     handle observes the *latest* state — the oracle the
     ``REPRO_DISABLE_MVCC=1`` CI run holds the MVCC path against.
     """
-    previous = _MVCC.enabled
-    _MVCC.enabled = bool(enabled)
-    return previous
+    return _MVCC.set(enabled)
 
 
-@contextmanager
 def mvcc(enabled: bool = True):
-    """Context-manager form of :func:`set_mvcc` (mirrors ``interning(...)``,
-    ``columnar_storage(...)``, ``vectorized_filters(...)``, ``codegen(...)``,
-    ``durability(...)``)."""
-    previous = set_mvcc(enabled)
-    try:
-        yield
-    finally:
-        set_mvcc(previous)
+    """Context-manager form of :func:`set_mvcc`."""
+    return _MVCC.scoped(enabled)
 
 
 class UpdateBatch:

@@ -61,6 +61,7 @@ from repro.objects.columnar import (
     union_ids,
 )
 from repro.objects.instance import DatabaseInstance
+from repro.objects.stats import FAMILY_REGISTRY
 from repro.objects.values import Atom, SetValue, TupleValue
 from repro.engine.plan import (
     CollapseNode,
@@ -105,44 +106,16 @@ SITE_MAINTAIN_RECOMPUTE = register_fault_site(
 )
 
 
-class _ViewsState:
-    """Process-wide maintenance counters (no switch: views are opt-in)."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self) -> None:
-        self.stats = {
-            "delta_batches": 0,
-            "delta_node_applications": 0,
-            "recompute_node_applications": 0,
-            "full_recomputes": 0,
-            "rows_delta_in": 0,
-            "rows_delta_out": 0,
-            "datalog_resumes": 0,
-            "datalog_recomputes": 0,
-            "views_quarantined": 0,
-            "degraded_reads": 0,
-            "view_repairs": 0,
-            # MVCC epoch lifecycle (see repro.views.database).
-            "epoch_pins": 0,
-            "epoch_releases": 0,
-            "epochs_frozen": 0,
-            "epochs_collected": 0,
-            "epoch_reads_frozen": 0,
-            "mvcc_bypassed_reads": 0,
-        }
-
-
-_VIEWS = _ViewsState()
+#: The view-maintenance counters — the ``"views"`` row of
+#: :data:`repro.objects.stats.FAMILY_REGISTRY`, whose switch is MVCC
+#: (:func:`repro.views.database.set_mvcc`; views themselves are opt-in).
+_VIEWS = FAMILY_REGISTRY["views"]
+_count = _VIEWS.count
 
 
 def views_stats() -> dict[str, int]:
     """A snapshot of the maintenance counters (tests assert deltas)."""
-    return dict(_VIEWS.stats)
-
-
-def _count(counter: str, amount: int = 1) -> None:
-    _VIEWS.stats[counter] += amount
+    return _VIEWS.snapshot()
 
 
 class Delta:
@@ -311,110 +284,51 @@ class _Maintainer:
 
     # -- initialization -------------------------------------------------------
     def initialize(self, database: DatabaseInstance) -> set:
-        """Evaluate every node bottom-up once, retaining the per-node state
-        the delta rules need; returns the root's output set."""
-        outputs: dict[int, set] = {}
+        """Seed the view: give every node its empty state, then push the
+        whole base through :meth:`apply` as one insert batch (so seeding
+        counts as one delta batch in :func:`views_stats`); returns the
+        root's output set."""
         for node in self.plan.nodes:
-            outputs[node.node_id] = self._initial_output(node, outputs, database)
+            node_id = node.node_id
+            if isinstance(node, (Project, CollapseNode)):
+                self._supports[node_id] = _Supports()
+            elif isinstance(node, HashJoin):
+                self._joins[node_id] = (
+                    # No dictionary encode (unlike the executor's transient
+                    # per-join dictionary): these indexes outlive the batch,
+                    # so they key on the component values themselves, whose
+                    # structural hashes the value runtime caches.
+                    IncrementalIndex((), key=_components_key(node.left_keys)),
+                    IncrementalIndex((), key=_components_key(node.right_keys)),
+                )
+            elif isinstance(node, NestedLoopProduct):
+                self._sides[node_id] = (set(), set())
+            elif isinstance(node, SetOp):
+                self._sides[node_id] = (set(), set())
+                self._columns[node_id] = tuple(_MaintainedColumn() for _ in range(3))
         for node_id in self._keep_output:
-            self._outputs[node_id] = set(outputs[node_id])
+            self._outputs[node_id] = set()
+        base = {
+            node.predicate_name: Delta(database.instance(node.predicate_name).values)
+            for node in self.plan.nodes
+            if isinstance(node, Scan)
+        }
+        self.apply(base, seeding=True)
         # The caller gets (an alias of) the root's kept output set: the
         # delta loop updates it in place, so a view can serve from it
         # without copying per batch.
         return self._outputs[self.root.node_id]
 
-    def _initial_output(self, node: PlanNode, outputs: dict[int, set], database) -> set:
-        if isinstance(node, Scan):
-            return set(database.instance(node.predicate_name).values)
-        if isinstance(node, ConstantScan):
-            return {Atom(node.value)}
-        if isinstance(node, Filter):
-            child_rows = outputs[node.child.node_id]
-            return set(self._filter_rows(node, child_rows))
-        if isinstance(node, Project):
-            supports = self._supports.setdefault(node.node_id, _Supports())
-            contributions: dict[object, int] = {}
-            for row in outputs[node.child.node_id]:
-                projected = _project_row(row, node.coordinates)
-                contributions[projected] = contributions.get(projected, 0) + 1
-            delta = supports.apply(contributions)
-            return set(delta.added)
-        if isinstance(node, UntupleNode):
-            return {_untuple_row(row) for row in outputs[node.child.node_id]}
-        if isinstance(node, CollapseNode):
-            supports = self._supports.setdefault(node.node_id, _Supports())
-            contributions = {}
-            for value in outputs[node.child.node_id]:
-                for element in _collapse_elements(value):
-                    contributions[element] = contributions.get(element, 0) + 1
-            delta = supports.apply(contributions)
-            return set(delta.added)
-        if isinstance(node, HashJoin):
-            left_rows = [
-                flatten_value(value, node.left_type)
-                for value in outputs[node.left.node_id]
-            ]
-            right_rows = [
-                flatten_value(value, node.right_type)
-                for value in outputs[node.right.node_id]
-            ]
-            # No dictionary encode (unlike the executor's transient
-            # per-join dictionary): these indexes outlive the batch, so
-            # they key on the component values themselves, whose
-            # structural hashes the value runtime caches.
-            left_index = IncrementalIndex(left_rows, key=_components_key(node.left_keys))
-            right_index = IncrementalIndex(right_rows, key=_components_key(node.right_keys))
-            self._joins[node.node_id] = (left_index, right_index)
-            result = set()
-            right_lookup = right_index.get
-            left_key = left_index.key
-            for left_row in left_rows:
-                for right_row in right_lookup(left_key(left_row)):
-                    combined = TupleValue(left_row + right_row)
-                    if node.residual is None or condition_holds(node.residual, combined):
-                        result.add(combined)
-            return result
-        if isinstance(node, NestedLoopProduct):
-            left_rows = {
-                flatten_value(value, node.left_type)
-                for value in outputs[node.left.node_id]
-            }
-            right_rows = {
-                flatten_value(value, node.right_type)
-                for value in outputs[node.right.node_id]
-            }
-            self._sides[node.node_id] = (left_rows, right_rows)
-            return {
-                TupleValue(left + right) for left in left_rows for right in right_rows
-            }
-        if isinstance(node, SetOp):
-            left = set(outputs[node.left.node_id])
-            right = set(outputs[node.right.node_id])
-            self._sides[node.node_id] = (left, right)
-            self._columns[node.node_id] = (
-                _MaintainedColumn(),
-                _MaintainedColumn(),
-                _MaintainedColumn(),
-            )
-            if node.kind == "union":
-                return left | right
-            if node.kind == "intersection":
-                return left & right
-            if node.kind == "difference":
-                return left - right
-            raise EvaluationError(f"unknown set operation kind {node.kind!r}")
-        if isinstance(node, PowersetNode):
-            return self._powerset_output(outputs[node.child.node_id])
-        if isinstance(node, Materialize):
-            return set(outputs[node.child.node_id])
-        raise EvaluationError(
-            f"unknown plan operator {type(node).__name__} in view maintenance"
-        )
-
     # -- delta propagation ----------------------------------------------------
-    def apply(self, base_deltas: dict[str, Delta], journal=None) -> Delta:
+    def apply(
+        self, base_deltas: dict[str, Delta], journal=None, seeding: bool = False
+    ) -> Delta:
         """Propagate one base-table batch through the DAG; returns the
         root's output delta (states updated in place).
+
+        *seeding* marks the first batch (from :meth:`initialize`): constant
+        scans emit their atom and powerset nodes evaluate even over an
+        empty child, the two outputs not driven by a base delta.
 
         When *journal* (an :class:`~repro.reliability.staging.UndoJournal`)
         is given, every in-place mutation logs its exact inverse first, so
@@ -428,7 +342,7 @@ class _Maintainer:
         )
         deltas: dict[int, Delta] = {}
         for node in self.plan.nodes:
-            delta = self._node_delta(node, deltas, base_deltas, journal)
+            delta = self._node_delta(node, deltas, base_deltas, journal, seeding)
             deltas[node.node_id] = delta
             output = self._outputs.get(node.node_id)
             if output is not None and delta:
@@ -449,15 +363,16 @@ class _Maintainer:
         deltas: dict[int, Delta],
         base_deltas: dict[str, Delta],
         journal=None,
+        seeding: bool = False,
     ) -> Delta:
         if isinstance(node, Scan):
             return base_deltas.get(node.predicate_name, _EMPTY_DELTA)
         if isinstance(node, ConstantScan):
-            return _EMPTY_DELTA
+            return Delta([Atom(node.value)]) if seeding else _EMPTY_DELTA
         if isinstance(node, Materialize):
             return deltas[node.child.node_id]
         if isinstance(node, PowersetNode):
-            return self._recompute_delta(node, deltas)
+            return self._recompute_delta(node, deltas, seeding)
         child_deltas = [deltas[child.node_id] for child in node.children()]
         if not any(child_deltas):
             return _EMPTY_DELTA
@@ -561,9 +476,9 @@ class _Maintainer:
         removed_right = [flatten_value(v, right_type) for v in right.removed]
         left_key, right_key = left_index.key, right_index.key
 
-        # Signed pair counts: ΔL ⋈ R_old  +  L_old ⋈ ΔR  +  ΔL ⋈ ΔR.  The
-        # persistent indexes still hold the pre-batch state here, so each
-        # term probes exactly the relation version the formula names.
+        # Signed pair counts: ΔL ⋈ R_old  +  L_new ⋈ ΔR, which expands to
+        # ΔL ⋈ R_old + L_old ⋈ ΔR + ΔL ⋈ ΔR.  So ΔL probes the right index
+        # before either roll, and ΔR probes the left index after its roll.
         contributions: dict[object, int] = {}
         residual = node.residual
         residual_predicate = (
@@ -588,26 +503,6 @@ class _Maintainer:
             for left_row in rows:
                 for right_row in right_index.get(left_key(left_row)):
                     contribute(left_row, right_row, sign)
-        for rows, sign in ((added_right, 1), (removed_right, -1)):
-            for right_row in rows:
-                for left_row in left_index.get(right_key(right_row)):
-                    contribute(left_row, right_row, sign)
-        delta_right = IncrementalIndex(added_right, key=right_key)
-        removed_right_index = IncrementalIndex(removed_right, key=right_key)
-        for left_row, left_sign in ((row, 1) for row in added_left):
-            key = left_key(left_row)
-            for right_row in delta_right.get(key):
-                contribute(left_row, right_row, left_sign)
-            for right_row in removed_right_index.get(key):
-                contribute(left_row, right_row, -left_sign)
-        for left_row in removed_left:
-            key = left_key(left_row)
-            for right_row in delta_right.get(key):
-                contribute(left_row, right_row, -1)
-            for right_row in removed_right_index.get(key):
-                contribute(left_row, right_row, 1)
-
-        # Roll the persistent indexes forward to the post-batch state.
         # The fault site sits between the two rolls: a failure there
         # leaves the hardest possible half-applied state (one index new,
         # one old), which is exactly what the undo journal must rewind.
@@ -615,6 +510,10 @@ class _Maintainer:
         if journal is not None:
             journal.record(undo_left)
         fault_point(SITE_MAINTAIN_JOIN)
+        for rows, sign in ((added_right, 1), (removed_right, -1)):
+            for right_row in rows:
+                for left_row in left_index.get(right_key(right_row)):
+                    contribute(left_row, right_row, sign)
         undo_right = right_index.apply_batch(added_right, removed_right)
         if journal is not None:
             journal.record(undo_right)
@@ -773,11 +672,13 @@ class _Maintainer:
         return Delta(added, removed)
 
     # -- scoped recompute -----------------------------------------------------
-    def _recompute_delta(self, node: PlanNode, deltas: dict[int, Delta]) -> Delta:
+    def _recompute_delta(
+        self, node: PlanNode, deltas: dict[int, Delta], seeding: bool = False
+    ) -> Delta:
         """Re-evaluate one non-incrementalizable node from its children's
         maintained outputs and express the change as a delta — the rest of
         the DAG stays on the delta path."""
-        if not any(deltas[child.node_id] for child in node.children()):
+        if not seeding and not any(deltas[child.node_id] for child in node.children()):
             return _EMPTY_DELTA
         _count("recompute_node_applications")
         fault_point(SITE_MAINTAIN_RECOMPUTE)

@@ -2,45 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.calculus.builders import PARENT_SCHEMA, PERSON_SCHEMA
 from repro.calculus.evaluation import EvaluationSettings
-from repro.engine.codegen import set_codegen
-from repro.engine.joinorder import set_join_ordering
 from repro.objects.instance import DatabaseInstance
-from repro.observability.trace import set_tracing
-from repro.views.database import set_mvcc
-
-# CI runs the tier-1 suite once with the fused-codegen ablation switch off
-# (REPRO_DISABLE_CODEGEN=1) so the interpreting-oracle path stays green on
-# its own; the switch is flipped at collection time, before any test runs.
-if os.environ.get("REPRO_DISABLE_CODEGEN"):
-    set_codegen(False)
-
-# Same contract for MVCC epoch snapshots: REPRO_DISABLE_MVCC=1 runs the
-# views + serving suites against the bare single-writer façade (pins
-# advisory, reads always latest).  Tests that assert epoch *isolation*
-# skip themselves under this mode (they check os.environ directly).
-if os.environ.get("REPRO_DISABLE_MVCC"):
-    set_mvcc(False)
-
-# And for cost-based join ordering: REPRO_DISABLE_JOIN_ORDERING=1 compiles
-# every plan in syntactic order with binary joins only (no statistics
-# collection, no MultiwayHashJoin), which must be answer-equivalent.
-if os.environ.get("REPRO_DISABLE_JOIN_ORDERING"):
-    set_join_ordering(False)
-
-# The eighth family runs the other way around: tracing defaults OFF, and
-# REPRO_TRACE=1 re-runs the engine + views + serving + observability
-# suites fully traced — spans, histograms and query-log records on every
-# query and commit must change no answer.  The env var already seeds the
-# switch at import; the explicit set keeps the contract if that default
-# ever changes.
-if os.environ.get("REPRO_TRACE"):
-    set_tracing(True)
 
 
 @pytest.fixture

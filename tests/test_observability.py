@@ -41,6 +41,7 @@ from repro.algebra.expressions import (
 )
 from repro.engine import clear_plan_cache, plan_structural_key, run_expression
 from repro.engine.codegen import codegen
+from repro.engine.joinorder import join_ordering
 from repro.errors import ServingError
 from repro.objects.columnar import columnar_storage
 from repro.observability import (
@@ -85,8 +86,7 @@ def _reset_state() -> None:
     clear_traces()
     clear_query_log()
     METRICS.reset()
-    for key in _OBSERVABILITY.stats:
-        _OBSERVABILITY.stats[key] = 0
+    _OBSERVABILITY.reset()
 
 
 @pytest.fixture(autouse=True)
@@ -266,7 +266,8 @@ def test_exposition_renders_and_parses():
 def test_engine_trace_has_node_spans_with_estimates():
     db = _database()
     expression = _join_expression()
-    with tracing(True), codegen(False):
+    # Estimates come from the statistics that join ordering collects.
+    with tracing(True), codegen(False), join_ordering(True):
         result = run_expression(expression, db.snapshot())
     assert len(result) == 6
     trace_id, spans = latest_trace()

@@ -31,18 +31,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 
 import pytest
 
 from repro.errors import EpochError, ServingError
-from repro.algebra.expressions import (
-    PredicateExpression,
-    Projection,
-    Selection,
-    SelectionCondition,
-)
+from repro.algebra.expressions import PredicateExpression, Projection
 from repro.calculus.builders import PARENT_SCHEMA
 from repro.datalog import transitive_closure_program
 from repro.io.serialization import instance_to_data
@@ -76,7 +70,7 @@ from repro.workloads import client_session_script, random_database, random_updat
 pytestmark = pytest.mark.serving
 
 requires_mvcc = pytest.mark.skipif(
-    bool(os.environ.get("REPRO_DISABLE_MVCC")),
+    not mvcc_enabled(),
     reason="asserts epoch isolation, which REPRO_DISABLE_MVCC=1 ablates away",
 )
 
@@ -508,6 +502,24 @@ def test_server_relays_errors_without_dropping_the_session():
         with pytest.raises(ServingError):
             await client.calc("{ not a query }")
         assert await client.ping() == "pong"  # session survived all of it
+
+    _serve(scenario)
+
+
+def test_oversized_request_line_answers_too_large_and_keeps_the_session():
+    async def scenario(client, db, server):
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        try:
+            for size in (70_000, 300_000):
+                writer.write(b"PING " + b"x" * size + b"\nPING\n")
+                await writer.drain()
+                with pytest.raises(ServingError) as excinfo:
+                    decode_response((await reader.readline()).decode())
+                assert excinfo.value.code == "too_large"
+                assert decode_response((await reader.readline()).decode()) == "pong"
+        finally:
+            writer.close()
+        assert server.stats["errors_returned"] == 2
 
     _serve(scenario)
 

@@ -10,7 +10,13 @@ that relative cross-links resolve:
   using GitHub's heading-slug rules (lowercase, punctuation stripped,
   spaces to hyphens).
 
-Runnable directly (exit code 1 on any broken link)::
+It also checks the ablation reference against the switch table: every
+row of ``FAMILY_REGISTRY`` (:mod:`repro.objects.stats`) must appear in
+the eight-family table of ``docs/ablation.md`` with its setter, context
+manager, default and environment variable, and that table must have no
+other rows.
+
+Runnable directly (exit code 1 on any broken link or table mismatch)::
 
     python tools/check_docs.py
 
@@ -32,6 +38,10 @@ DOCUMENT_GLOBS = ("*.md", "docs/*.md")
 CHECKED_SUFFIXES = {".md", ".py", ".json"}
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: The document whose family table must match the switch table.
+ABLATION_DOC = REPO_ROOT / "docs" / "ablation.md"
+ABLATION_HEADING = "## The eight families"
 
 
 def heading_slugs(markdown: str) -> set[str]:
@@ -73,6 +83,58 @@ def check_file(path: Path) -> list[str]:
     return failures
 
 
+def switch_table_rows(markdown: str) -> list[list[str]]:
+    """The body rows of the first table under :data:`ABLATION_HEADING`,
+    as lists of stripped cells."""
+    rows: list[list[str]] = []
+    for line in markdown.split(ABLATION_HEADING, 1)[-1].splitlines():
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows[2:]  # past the header and separator lines
+
+
+def check_switch_table() -> list[str]:
+    """Mismatches between ``FAMILY_REGISTRY`` and the docs table (empty = ok).
+
+    Columns: family, switch (module), default, off restores, counters,
+    differential suite, environment variable.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.objects.stats import FAMILY_REGISTRY
+
+    relative = ABLATION_DOC.relative_to(REPO_ROOT)
+    rows = switch_table_rows(ABLATION_DOC.read_text())
+    failures: list[str] = []
+    if len(rows) != len(FAMILY_REGISTRY):
+        failures.append(
+            f"{relative}: the family table has {len(rows)} rows, "
+            f"FAMILY_REGISTRY has {len(FAMILY_REGISTRY)}"
+        )
+    for family, switch in FAMILY_REGISTRY.items():
+        matches = [row for row in rows if f"`{switch.setter}`" in row[1]]
+        if not matches:
+            failures.append(f"{relative}: no family-table row for `{switch.setter}`")
+            continue
+        _name, switch_cell, default_cell, *_rest, env_cell = matches[0]
+        expected_default = "on" if switch.default else "off"
+        expected_env = f"`{switch.env}=1`" if switch.env else "—"
+        if f"`{switch.context}(...)`" not in switch_cell:
+            failures.append(f"{relative}: {family} row lacks `{switch.context}(...)`")
+        if not default_cell.strip("*").startswith(expected_default):
+            failures.append(
+                f"{relative}: {family} row default {default_cell!r}, "
+                f"table says {expected_default}"
+            )
+        if not env_cell.startswith(expected_env):
+            failures.append(
+                f"{relative}: {family} row env var {env_cell!r}, "
+                f"table says {expected_env}"
+            )
+    return failures
+
+
 def check_all() -> list[str]:
     failures: list[str] = []
     documents = sorted(
@@ -82,6 +144,7 @@ def check_all() -> list[str]:
         failures.append("no markdown documents found to check")
     for document in documents:
         failures.extend(check_file(document))
+    failures.extend(check_switch_table())
     return failures
 
 
@@ -92,7 +155,10 @@ def main() -> int:
             print(f"BROKEN: {failure}", file=sys.stderr)
         return 1
     count = sum(len(list(REPO_ROOT.glob(g))) for g in DOCUMENT_GLOBS)
-    print(f"documentation links resolve across {count} markdown files")
+    print(
+        f"documentation links resolve across {count} markdown files; "
+        "the ablation table matches FAMILY_REGISTRY"
+    )
     return 0
 
 
